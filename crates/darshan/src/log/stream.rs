@@ -21,19 +21,16 @@
 //! [`super::LogReader::read`] and [`super::LogReader::read_lenient`]
 //! are thin drivers over [`StreamDecoder`] that consume every region
 //! eagerly; their error taxonomy and observability counters are
-//! unchanged.
+//! unchanged. Likewise [`super::LogWriter::finish`] is a one-shot
+//! driver of [`StreamWriter`].
 //!
 //! One-byte header reads make unbuffered sources slow: wrap files in a
 //! [`std::io::BufReader`] before handing them to [`StreamDecoder`].
 
-use super::varint::put_uvarint;
-use super::writer::{
-    encode_counter_record, encode_dxt_record, encode_heatmap_record, encode_job,
-    encode_lustre_record,
-};
+use super::varint::{put_f64, put_ivarint, put_string, put_uvarint};
 use super::{crc32, Log, MAGIC, TAG_END, TAG_JOB, TAG_NAMES, VERSION};
 use crate::counters::ModuleId;
-use crate::dxt::DxtRecord;
+use crate::dxt::{DxtLayer, DxtRecord};
 use crate::heatmap::HeatmapRecord;
 use crate::records::{JobRecord, LustreRecord, MpiioRecord, NameRecord, PosixRecord, StdioRecord};
 use crate::DarshanError;
@@ -301,13 +298,12 @@ pub(super) fn region_span_name(tag: u8) -> &'static str {
 
 /// Incremental log encoder: frames regions to a sink as they arrive.
 ///
-/// Unlike [`super::LogWriter`], which buffers the whole log and frames
-/// it in one pass, a `StreamWriter` holds only the region currently
-/// being encoded. Module writers may be called repeatedly — each call
-/// emits one region, and the reader's extend-on-decode semantics
-/// reassemble them — so a producer can emit arbitrarily large traces in
-/// bounded memory. Region framing is byte-identical to
-/// [`super::LogWriter::finish`] for the same record batches.
+/// This is the log format's only encoder: [`super::LogWriter::finish`]
+/// drives it once over a buffered log. On its own, a `StreamWriter`
+/// holds only the region currently being encoded. Module writers may be
+/// called repeatedly — each call emits one region, and the reader's
+/// extend-on-decode semantics reassemble them — so a producer can emit
+/// arbitrarily large traces in bounded memory.
 #[derive(Debug)]
 pub struct StreamWriter<W: Write> {
     out: W,
@@ -363,7 +359,7 @@ impl<W: Write> StreamWriter<W> {
         put_uvarint(&mut self.payload, names.len() as u64);
         for n in names {
             put_uvarint(&mut self.payload, n.id);
-            super::varint::put_string(&mut self.payload, &n.path)?;
+            put_string(&mut self.payload, &n.path)?;
         }
         self.flush_region(TAG_NAMES)
     }
@@ -475,6 +471,89 @@ impl<W: Write> StreamWriter<W> {
             .map_err(|e| io_error("write end tag", &e))?;
         Ok(self.out)
     }
+}
+
+fn encode_lustre_record(payload: &mut Vec<u8>, r: &LustreRecord) {
+    put_uvarint(payload, r.file_id);
+    put_ivarint(payload, i64::from(r.rank));
+    put_uvarint(payload, r.counters.len() as u64);
+    for &c in &r.counters {
+        put_ivarint(payload, c);
+    }
+    put_uvarint(payload, r.ost_ids.len() as u64);
+    for &o in &r.ost_ids {
+        put_ivarint(payload, o);
+    }
+}
+
+fn encode_heatmap_record(payload: &mut Vec<u8>, r: &HeatmapRecord) {
+    put_ivarint(payload, i64::from(r.rank));
+    put_f64(payload, r.bin_width);
+    put_uvarint(payload, r.read_bytes.len() as u64);
+    for &b in &r.read_bytes {
+        put_uvarint(payload, b);
+    }
+    for &b in &r.write_bytes {
+        put_uvarint(payload, b);
+    }
+}
+
+fn encode_job(buf: &mut Vec<u8>, job: &JobRecord) -> Result<(), DarshanError> {
+    put_uvarint(buf, u64::from(job.uid));
+    put_uvarint(buf, job.job_id);
+    put_uvarint(buf, u64::from(job.nprocs));
+    put_f64(buf, job.start_time);
+    put_f64(buf, job.end_time);
+    put_string(buf, &job.exe)?;
+    put_uvarint(buf, job.metadata.len() as u64);
+    for (k, v) in &job.metadata {
+        put_string(buf, k)?;
+        put_string(buf, v)?;
+    }
+    Ok(())
+}
+
+fn encode_counter_record(
+    buf: &mut Vec<u8>,
+    file_id: u64,
+    rank: i32,
+    counters: &[i64],
+    fcounters: &[f64],
+) {
+    put_uvarint(buf, file_id);
+    put_ivarint(buf, i64::from(rank));
+    put_uvarint(buf, counters.len() as u64);
+    for &c in counters {
+        put_ivarint(buf, c);
+    }
+    put_uvarint(buf, fcounters.len() as u64);
+    for &f in fcounters {
+        put_f64(buf, f);
+    }
+}
+
+fn encode_dxt_record(buf: &mut Vec<u8>, r: &DxtRecord) -> Result<(), DarshanError> {
+    put_uvarint(buf, r.file_id);
+    put_ivarint(buf, i64::from(r.rank));
+    buf.push(match r.layer {
+        DxtLayer::Posix => 0,
+        DxtLayer::MpiIo => 1,
+    });
+    put_string(buf, &r.hostname)?;
+    for segs in [&r.writes, &r.reads] {
+        put_uvarint(buf, segs.len() as u64);
+        let mut prev_offset: i64 = 0;
+        for s in segs {
+            // Offsets delta-encode well for sequential workloads and cost
+            // at most two extra bytes for random ones.
+            put_ivarint(buf, s.offset as i64 - prev_offset);
+            prev_offset = s.offset as i64;
+            put_uvarint(buf, s.length);
+            put_f64(buf, s.start_time);
+            put_f64(buf, s.end_time);
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

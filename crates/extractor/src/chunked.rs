@@ -1,15 +1,14 @@
 //! Out-of-core table building: fixed-row-budget chunks, compressed as
 //! they seal, optionally spilled to a pager and reassembled at finish.
 //!
-//! The streaming extractor appends rows to a [`ChunkedTableBuilder`]
-//! instead of a [`Table`]. Every `chunk_rows` rows the builder seals the
-//! open chunk: each column is re-encoded via
-//! [`ColumnData::compressed`] and either appended to the in-memory
-//! accumulator or handed to a [`ChunkPager`] (e.g. `ion-store`'s spill
-//! directory) as an opaque byte blob. [`ChunkedTableBuilder::finish`]
-//! reloads any spilled chunks in order and returns a [`Table`] that
-//! compares equal — cell for cell — to the one the batch extractor would
-//! have built, so content digests and warm stores are unaffected.
+//! The extractor appends rows to a [`ChunkedTableBuilder`] instead of a
+//! [`Table`]. Every `chunk_rows` rows the builder seals the open chunk:
+//! each column is re-encoded via [`ColumnData::compressed`] and either
+//! appended to the in-memory accumulator or handed to a [`ChunkPager`]
+//! (e.g. `ion-store`'s spill directory) as an opaque byte blob.
+//! [`ChunkedTableBuilder::finish`] reloads any spilled chunks in order
+//! and returns a [`Table`] whose cells do not depend on the chunk size
+//! or on spilling, so content digests and warm stores are unaffected.
 
 use crate::table::{Bitmap, ColumnData, Table, Value};
 use std::io;

@@ -1,6 +1,14 @@
 //! The extractor: Darshan [`Log`] → per-module [`Table`]s.
+//!
+//! Both entry points — [`extract_tables`] over an in-memory log and
+//! [`extract_stream`](crate::stream::extract_stream) over serialized
+//! bytes — drive one private fold that owns the per-module record loops,
+//! the lazily created [`ChunkedTableBuilder`]s and the file-id → path
+//! index, so the two produce the same tables by construction.
 
-use crate::table::{Table, Value};
+use crate::chunked::{ChunkPager, ChunkedTableBuilder};
+use crate::stream::DEFAULT_CHUNK_ROWS;
+use crate::table::{ColumnData, Table, Value};
 use darshan::counters::{
     LustreCounter, MpiioCounter, MpiioFCounter, PosixCounter, PosixFCounter, StdioCounter,
     StdioFCounter,
@@ -9,7 +17,10 @@ use darshan::dxt::{DxtRecord, DxtSegment, OpKind};
 use darshan::heatmap::HeatmapRecord;
 use darshan::log::Log;
 use darshan::records::LustreRecord;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::io;
+use std::sync::Arc;
 
 /// The set of tables the extractor produces for one log.
 #[derive(Debug, Clone, Default)]
@@ -58,35 +69,42 @@ impl TableSet {
     }
 }
 
+/// `file_name` of a record whose id has no name registered.
+const UNKNOWN_PATH: &str = "<unknown>";
+
 /// Column names common to every counter table.
 const ID_COLUMNS: [&str; 3] = ["file_id", "file_name", "rank"];
 
 /// `HEATMAP` table columns.
-pub(crate) const HEATMAP_COLUMNS: [&str; 6] = [
-    "rank",
-    "bin",
-    "bin_start",
-    "bin_end",
-    "read_bytes",
-    "write_bytes",
-];
+fn heatmap_columns() -> Vec<&'static str> {
+    vec![
+        "rank",
+        "bin",
+        "bin_start",
+        "bin_end",
+        "read_bytes",
+        "write_bytes",
+    ]
+}
 
 /// `DXT` table columns.
-pub(crate) const DXT_COLUMNS: [&str; 10] = [
-    "file_id",
-    "file_name",
-    "rank",
-    "module",
-    "op",
-    "segment",
-    "offset",
-    "length",
-    "start_time",
-    "end_time",
-];
+fn dxt_columns() -> Vec<&'static str> {
+    vec![
+        "file_id",
+        "file_name",
+        "rank",
+        "module",
+        "op",
+        "segment",
+        "offset",
+        "length",
+        "start_time",
+        "end_time",
+    ]
+}
 
 /// `POSIX` table columns.
-pub(crate) fn posix_columns() -> Vec<&'static str> {
+fn posix_columns() -> Vec<&'static str> {
     let mut cols: Vec<&str> = ID_COLUMNS.to_vec();
     cols.extend(PosixCounter::ALL.iter().map(|c| c.name()));
     cols.extend(PosixFCounter::ALL.iter().map(|c| c.name()));
@@ -94,7 +112,7 @@ pub(crate) fn posix_columns() -> Vec<&'static str> {
 }
 
 /// `MPIIO` table columns.
-pub(crate) fn mpiio_columns() -> Vec<&'static str> {
+fn mpiio_columns() -> Vec<&'static str> {
     let mut cols: Vec<&str> = ID_COLUMNS.to_vec();
     cols.extend(MpiioCounter::ALL.iter().map(|c| c.name()));
     cols.extend(MpiioFCounter::ALL.iter().map(|c| c.name()));
@@ -102,7 +120,7 @@ pub(crate) fn mpiio_columns() -> Vec<&'static str> {
 }
 
 /// `STDIO` table columns.
-pub(crate) fn stdio_columns() -> Vec<&'static str> {
+fn stdio_columns() -> Vec<&'static str> {
     let mut cols: Vec<&str> = ID_COLUMNS.to_vec();
     cols.extend(StdioCounter::ALL.iter().map(|c| c.name()));
     cols.extend(StdioFCounter::ALL.iter().map(|c| c.name()));
@@ -110,27 +128,26 @@ pub(crate) fn stdio_columns() -> Vec<&'static str> {
 }
 
 /// `LUSTRE` table columns.
-pub(crate) fn lustre_columns() -> Vec<&'static str> {
+fn lustre_columns() -> Vec<&'static str> {
     let mut cols: Vec<&str> = ID_COLUMNS.to_vec();
     cols.extend(LustreCounter::ALL.iter().map(|c| c.name()));
     cols.push("LUSTRE_OST_IDS");
     cols
 }
 
-fn id_cells(path: Option<&str>, file_id: u64, rank: i32) -> Vec<Value> {
+fn id_cells(path: &Arc<str>, file_id: u64, rank: i32) -> Vec<Value> {
     vec![
         Value::Int(file_id as i64),
-        Value::Str(path.unwrap_or("<unknown>").into()),
+        Value::Str(Arc::clone(path)),
         Value::Int(i64::from(rank)),
     ]
 }
 
-/// One row of a counter table (`POSIX`/`MPIIO`/`STDIO`). Shared between
-/// the batch and streaming extractors so both produce identical cells.
-pub(crate) fn counter_row(
+/// One row of a counter table (`POSIX`/`MPIIO`/`STDIO`).
+fn counter_row(
     file_id: u64,
     rank: i32,
-    path: Option<&str>,
+    path: &Arc<str>,
     counters: &[i64],
     fcounters: &[f64],
 ) -> Vec<Value> {
@@ -141,7 +158,7 @@ pub(crate) fn counter_row(
 }
 
 /// One `LUSTRE` table row.
-pub(crate) fn lustre_row(r: &LustreRecord, path: Option<&str>) -> Vec<Value> {
+fn lustre_row(r: &LustreRecord, path: &Arc<str>) -> Vec<Value> {
     let mut row = id_cells(path, r.file_id, r.rank);
     row.extend(r.counters.iter().map(|&c| Value::Int(c)));
     let ids: Vec<String> = r.ost_ids.iter().map(ToString::to_string).collect();
@@ -150,7 +167,7 @@ pub(crate) fn lustre_row(r: &LustreRecord, path: Option<&str>) -> Vec<Value> {
 }
 
 /// One `HEATMAP` table row (one per time bin of a record).
-pub(crate) fn heatmap_row(r: &HeatmapRecord, bin: usize, rd: u64, wr: u64) -> Vec<Value> {
+fn heatmap_row(r: &HeatmapRecord, bin: usize, rd: u64, wr: u64) -> Vec<Value> {
     vec![
         Value::Int(i64::from(r.rank)),
         Value::Int(bin as i64),
@@ -162,16 +179,16 @@ pub(crate) fn heatmap_row(r: &HeatmapRecord, bin: usize, rd: u64, wr: u64) -> Ve
 }
 
 /// One `DXT` table row (one per traced operation of a record).
-pub(crate) fn dxt_row(
+fn dxt_row(
     r: &DxtRecord,
-    path: Option<&str>,
+    path: &Arc<str>,
     seg_no: usize,
     kind: OpKind,
     s: &DxtSegment,
 ) -> Vec<Value> {
     vec![
         Value::Int(r.file_id as i64),
-        Value::Str(path.unwrap_or("<unknown>").into()),
+        Value::Str(Arc::clone(path)),
         Value::Int(i64::from(r.rank)),
         Value::Str(r.layer.name().into()),
         Value::Str(kind.name().into()),
@@ -181,6 +198,207 @@ pub(crate) fn dxt_row(
         Value::Float(s.start_time),
         Value::Float(s.end_time),
     ]
+}
+
+/// The builder in `slot`, created on first use so that modules without
+/// records yield no table (module absence is a signal downstream).
+fn builder<'a>(
+    slot: &'a mut Option<ChunkedTableBuilder>,
+    name: &str,
+    columns: fn() -> Vec<&'static str>,
+    chunk_rows: usize,
+    pager: Option<&Arc<dyn ChunkPager>>,
+) -> &'a mut ChunkedTableBuilder {
+    slot.get_or_insert_with(|| match pager {
+        Some(p) => ChunkedTableBuilder::with_pager(name, &columns(), chunk_rows, Arc::clone(p)),
+        None => ChunkedTableBuilder::new(name, &columns(), chunk_rows),
+    })
+}
+
+/// Log records → per-module chunked tables: the one record loop behind
+/// both extractors. Feed it a whole log once ([`extract_tables`]) or one
+/// decoded region at a time ([`crate::stream::extract_stream`]).
+pub(crate) struct Fold {
+    chunk_rows: usize,
+    pager: Option<Arc<dyn ChunkPager>>,
+    /// File id → path; the first registration wins, as in
+    /// [`Log::path_for`].
+    paths: HashMap<u64, Arc<str>>,
+    unknown: Arc<str>,
+    /// A name was registered after rows had been pushed, so some rows
+    /// may say [`UNKNOWN_PATH`] for a file the finished log does name.
+    late_names: bool,
+    posix: Option<ChunkedTableBuilder>,
+    mpiio: Option<ChunkedTableBuilder>,
+    stdio: Option<ChunkedTableBuilder>,
+    lustre: Option<ChunkedTableBuilder>,
+    heatmap: Option<ChunkedTableBuilder>,
+    dxt: Option<ChunkedTableBuilder>,
+}
+
+impl Fold {
+    /// A fold holding at most `chunk_rows` uncompressed rows per table
+    /// and spilling sealed chunks through `pager` when one is given.
+    pub(crate) fn new(chunk_rows: usize, pager: Option<Arc<dyn ChunkPager>>) -> Fold {
+        Fold {
+            chunk_rows,
+            pager,
+            paths: HashMap::new(),
+            unknown: Arc::from(UNKNOWN_PATH),
+            late_names: false,
+            posix: None,
+            mpiio: None,
+            stdio: None,
+            lustre: None,
+            heatmap: None,
+            dxt: None,
+        }
+    }
+
+    /// Index `log`'s names, then move its module records into the
+    /// tables. Each record is dropped as soon as its rows are pushed, so
+    /// a decoded region never sits in memory next to all of its rows.
+    /// Names and the job record are left in place.
+    ///
+    /// # Errors
+    ///
+    /// Propagates pager failures.
+    pub(crate) fn push(&mut self, log: &mut Log) -> io::Result<()> {
+        let started = [
+            &self.posix,
+            &self.mpiio,
+            &self.stdio,
+            &self.lustre,
+            &self.heatmap,
+            &self.dxt,
+        ]
+        .iter()
+        .any(|b| b.is_some());
+        for n in &log.names {
+            if let Entry::Vacant(slot) = self.paths.entry(n.id) {
+                slot.insert(Arc::from(n.path.as_str()));
+                self.late_names |= started;
+            }
+        }
+        let (rows, pager) = (self.chunk_rows, self.pager.as_ref());
+        let path = |id: u64| self.paths.get(&id).unwrap_or(&self.unknown);
+        for r in log.posix.drain(..) {
+            let row = counter_row(
+                r.file_id,
+                r.rank,
+                path(r.file_id),
+                &r.counters,
+                &r.fcounters,
+            );
+            builder(&mut self.posix, "POSIX", posix_columns, rows, pager).push_row(row)?;
+        }
+        for r in log.mpiio.drain(..) {
+            let row = counter_row(
+                r.file_id,
+                r.rank,
+                path(r.file_id),
+                &r.counters,
+                &r.fcounters,
+            );
+            builder(&mut self.mpiio, "MPIIO", mpiio_columns, rows, pager).push_row(row)?;
+        }
+        for r in log.stdio.drain(..) {
+            let row = counter_row(
+                r.file_id,
+                r.rank,
+                path(r.file_id),
+                &r.counters,
+                &r.fcounters,
+            );
+            builder(&mut self.stdio, "STDIO", stdio_columns, rows, pager).push_row(row)?;
+        }
+        for r in log.lustre.drain(..) {
+            builder(&mut self.lustre, "LUSTRE", lustre_columns, rows, pager)
+                .push_row(lustre_row(&r, path(r.file_id)))?;
+        }
+        for r in log.heatmap.drain(..) {
+            let b = builder(&mut self.heatmap, "HEATMAP", heatmap_columns, rows, pager);
+            for (bin, (rd, wr)) in r.read_bytes.iter().zip(&r.write_bytes).enumerate() {
+                b.push_row(heatmap_row(&r, bin, *rd, *wr))?;
+            }
+        }
+        for r in log.dxt.drain(..) {
+            let b = builder(&mut self.dxt, "DXT", dxt_columns, rows, pager);
+            let path = path(r.file_id);
+            for (seg_no, (kind, s)) in r.iter().enumerate() {
+                b.push_row(dxt_row(&r, path, seg_no, kind, s))?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Seal every table and collect them; counts each table's rows under
+    /// `extract.rows.<table>`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates pager failures.
+    pub(crate) fn finish(self) -> io::Result<TableSet> {
+        let mut set = TableSet::default();
+        for b in [
+            self.posix,
+            self.mpiio,
+            self.stdio,
+            self.lustre,
+            self.heatmap,
+            self.dxt,
+        ]
+        .into_iter()
+        .flatten()
+        {
+            let mut t = b.finish()?;
+            if self.late_names {
+                t = resolve_late_names(t, &self.paths);
+            }
+            if ion_obs::enabled() {
+                ion_obs::counter(&format!("extract.rows.{}", t.name), t.len() as u64);
+            }
+            set.insert(t);
+        }
+        Ok(set)
+    }
+}
+
+/// Re-resolve [`UNKNOWN_PATH`] file names against the complete name
+/// index. A log whose name region follows the records it names (legal
+/// framing, though no writer here emits it) must extract the same
+/// whether it is read whole or region by region.
+fn resolve_late_names(t: Table, paths: &HashMap<u64, Arc<str>>) -> Table {
+    let (Some(id_col), Some(name_col)) = (t.column_index("file_id"), t.column_index("file_name"))
+    else {
+        return t;
+    };
+    let mut names = ColumnData::empty();
+    for row in 0..t.len() {
+        let name = t.value(row, name_col).unwrap_or(Value::Null);
+        let late = match (&name, t.value(row, id_col)) {
+            (Value::Str(s), Some(Value::Int(id))) if &**s == UNKNOWN_PATH => {
+                paths.get(&(id as u64))
+            }
+            _ => None,
+        };
+        names.push(late.map_or(name, |p| Value::Str(Arc::clone(p))));
+    }
+    let names = Arc::new(names.compressed());
+    let columns = t
+        .columns
+        .iter()
+        .enumerate()
+        .map(|(i, c)| {
+            let data = if i == name_col {
+                Arc::clone(&names)
+            } else {
+                t.column_arc(i).expect("column index in range")
+            };
+            (c.name.clone(), data)
+        })
+        .collect();
+    Table::from_columns(&t.name, columns)
 }
 
 /// Extract every module of `log` into CSV-shaped tables.
@@ -194,85 +412,13 @@ pub fn extract_tables(log: &Log) -> TableSet {
     // Counted (not just spanned) so cache layers can prove "zero
     // extractions happened" from a metrics snapshot alone.
     ion_obs::counter("extract.runs", 1);
-    let mut set = TableSet::default();
-
-    if !log.posix.is_empty() {
-        let mut t = Table::new("POSIX", &posix_columns());
-        for r in &log.posix {
-            t.push_row(counter_row(
-                r.file_id,
-                r.rank,
-                log.path_for(r.file_id),
-                &r.counters,
-                &r.fcounters,
-            ));
-        }
-        set.insert(t);
-    }
-
-    if !log.mpiio.is_empty() {
-        let mut t = Table::new("MPIIO", &mpiio_columns());
-        for r in &log.mpiio {
-            t.push_row(counter_row(
-                r.file_id,
-                r.rank,
-                log.path_for(r.file_id),
-                &r.counters,
-                &r.fcounters,
-            ));
-        }
-        set.insert(t);
-    }
-
-    if !log.stdio.is_empty() {
-        let mut t = Table::new("STDIO", &stdio_columns());
-        for r in &log.stdio {
-            t.push_row(counter_row(
-                r.file_id,
-                r.rank,
-                log.path_for(r.file_id),
-                &r.counters,
-                &r.fcounters,
-            ));
-        }
-        set.insert(t);
-    }
-
-    if !log.lustre.is_empty() {
-        let mut t = Table::new("LUSTRE", &lustre_columns());
-        for r in &log.lustre {
-            t.push_row(lustre_row(r, log.path_for(r.file_id)));
-        }
-        set.insert(t);
-    }
-
-    if !log.heatmap.is_empty() {
-        let mut t = Table::new("HEATMAP", &HEATMAP_COLUMNS);
-        for r in &log.heatmap {
-            for (bin, (rd, wr)) in r.read_bytes.iter().zip(&r.write_bytes).enumerate() {
-                t.push_row(heatmap_row(r, bin, *rd, *wr));
-            }
-        }
-        set.insert(t);
-    }
-
-    if !log.dxt.is_empty() {
-        let mut t = Table::new("DXT", &DXT_COLUMNS);
-        for r in &log.dxt {
-            let path = log.path_for(r.file_id);
-            for (seg_no, (kind, s)) in r.iter().enumerate() {
-                t.push_row(dxt_row(r, path, seg_no, kind, s));
-            }
-        }
-        set.insert(t);
-    }
-
+    // The fold consumes the records it is given, so it gets a copy.
+    let mut fold = Fold::new(DEFAULT_CHUNK_ROWS, None);
+    let set = fold
+        .push(&mut log.clone())
+        .and_then(|()| fold.finish())
+        .expect("chunks held in memory never fail to spill");
     span.attr("tables", set.len());
-    if ion_obs::enabled() {
-        for (name, table) in set.iter() {
-            ion_obs::counter(&format!("extract.rows.{name}"), table.len() as u64);
-        }
-    }
     set
 }
 

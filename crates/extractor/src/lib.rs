@@ -14,11 +14,13 @@
 //!   [`Value`]) that both the CSV layer and the IQL interpreter share.
 //! * [`schema`] — prose descriptions of every column, used verbatim in ION
 //!   prompts ("a description of the columns in the associated CSV files").
-//! * [`extract`] — the extractor itself: [`extract::extract_tables`].
+//! * [`extract`] — the extractor itself: one fold that turns module
+//!   records into chunked tables, run once over an in-memory log by
+//!   [`extract::extract_tables`].
 //! * [`chunked`] — out-of-core table building: fixed-row chunks,
 //!   compressed column encodings, and the spill pager contract.
-//! * [`stream`] — streaming extraction ([`stream::extract_stream`])
-//!   that folds a lazily decoded log straight into chunked tables.
+//! * [`stream`] — streaming extraction ([`stream::extract_stream`]),
+//!   which runs the same fold once per region of a lazily decoded log.
 //! * [`stats`] — descriptive statistics over table columns.
 //!
 //! # Example

@@ -2,28 +2,24 @@
 //! a time.
 //!
 //! [`extract_stream`] drives a [`StreamDecoder`] over any [`Read`]
-//! source and folds each decoded region straight into per-module
-//! [`ChunkedTableBuilder`]s, so the full record vectors of a large log
-//! (most importantly DXT traces) never exist in memory at once. The
-//! resulting [`TableSet`] is cell-for-cell identical to
-//! [`extract_tables`](crate::extract::extract_tables) over the eagerly
-//! decoded log — row builders are shared between the two paths — which
-//! keeps `ion-store` content digests byte-stable across ingest modes.
+//! source and hands each decoded region to the extractor's fold — the
+//! same one [`extract_tables`](crate::extract::extract_tables) runs once
+//! over a whole log. The fold moves the region's records into
+//! per-module [`ChunkedTableBuilder`](crate::chunked::ChunkedTableBuilder)s
+//! and drops each record as soon as its rows are pushed, so the full
+//! record vectors of a large log (most importantly DXT traces) never
+//! exist in memory at once.
 //!
 //! Alongside the tables the extractor returns a *skeleton* [`Log`]:
 //! the job record, the name table, and the first Lustre record. That is
 //! exactly the subset `ion`'s `SystemParams::from_log` reads, so callers
 //! can derive analysis parameters without a full decode.
 
-use crate::chunked::{ChunkPager, ChunkedTableBuilder};
-use crate::extract::{
-    counter_row, dxt_row, heatmap_row, lustre_columns, lustre_row, mpiio_columns, posix_columns,
-    stdio_columns, TableSet, DXT_COLUMNS, HEATMAP_COLUMNS,
-};
+use crate::chunked::ChunkPager;
+use crate::extract::{Fold, TableSet};
 use darshan::log::{Log, StreamDecoder};
 use darshan::records::JobRecord;
 use darshan::DarshanError;
-use std::collections::HashMap;
 use std::io::{self, Read};
 use std::sync::Arc;
 
@@ -74,7 +70,7 @@ impl From<io::Error> for StreamExtractError {
 /// Everything [`extract_stream`] produces.
 #[derive(Debug)]
 pub struct StreamExtracted {
-    /// Per-module tables, identical to the batch extractor's output.
+    /// Per-module tables.
     pub tables: TableSet,
     /// Job record, name table, and first Lustre record — the subset of
     /// the log that parameter derivation reads. Module record vectors
@@ -84,31 +80,6 @@ pub struct StreamExtracted {
     pub rows: u64,
     /// Bytes consumed from the source.
     pub bytes_read: u64,
-}
-
-/// Per-module chunked builders, created lazily so absent modules yield
-/// absent tables (module absence is a signal downstream).
-#[derive(Default)]
-struct Builders {
-    posix: Option<ChunkedTableBuilder>,
-    mpiio: Option<ChunkedTableBuilder>,
-    stdio: Option<ChunkedTableBuilder>,
-    lustre: Option<ChunkedTableBuilder>,
-    dxt: Option<ChunkedTableBuilder>,
-    heatmap: Option<ChunkedTableBuilder>,
-}
-
-fn builder<'a>(
-    slot: &'a mut Option<ChunkedTableBuilder>,
-    name: &str,
-    columns: &[&str],
-    chunk_rows: usize,
-    pager: Option<&Arc<dyn ChunkPager>>,
-) -> &'a mut ChunkedTableBuilder {
-    slot.get_or_insert_with(|| match pager {
-        Some(p) => ChunkedTableBuilder::with_pager(name, columns, chunk_rows, Arc::clone(p)),
-        None => ChunkedTableBuilder::new(name, columns, chunk_rows),
-    })
 }
 
 /// Extract every module of a serialized log into tables without ever
@@ -135,116 +106,21 @@ pub fn extract_stream<R: Read>(
     let mut decoder = StreamDecoder::new(src)?;
     let mut skeleton = Log::new(JobRecord::new(0, 0, 0));
     let mut scratch = Log::new(JobRecord::new(0, 0, 0));
-    // Insert-if-absent mirrors `Log::path_for`'s first-match semantics.
-    let mut name_index: HashMap<u64, usize> = HashMap::new();
-    let mut builders = Builders::default();
+    let mut fold = Fold::new(chunk_rows, pager);
     let mut saw_job = false;
 
     while let Some(region) = decoder.next_region()? {
-        let is_job = region.decode_into(&mut scratch)?;
-        if is_job {
+        if region.decode_into(&mut scratch)? {
             skeleton.job = scratch.job.clone();
             saw_job = true;
             continue;
         }
-        for n in scratch.names.drain(..) {
-            name_index.entry(n.id).or_insert(skeleton.names.len());
-            skeleton.names.push(n);
+        // Parameter derivation reads only the first Lustre record.
+        if skeleton.lustre.is_empty() {
+            skeleton.lustre.extend(scratch.lustre.first().cloned());
         }
-        let path_of = |id: u64| -> Option<&str> {
-            name_index
-                .get(&id)
-                .map(|&i| skeleton.names[i].path.as_str())
-        };
-        for r in scratch.posix.drain(..) {
-            let b = builder(
-                &mut builders.posix,
-                "POSIX",
-                &posix_columns(),
-                chunk_rows,
-                pager.as_ref(),
-            );
-            b.push_row(counter_row(
-                r.file_id,
-                r.rank,
-                path_of(r.file_id),
-                &r.counters,
-                &r.fcounters,
-            ))?;
-        }
-        for r in scratch.mpiio.drain(..) {
-            let b = builder(
-                &mut builders.mpiio,
-                "MPIIO",
-                &mpiio_columns(),
-                chunk_rows,
-                pager.as_ref(),
-            );
-            b.push_row(counter_row(
-                r.file_id,
-                r.rank,
-                path_of(r.file_id),
-                &r.counters,
-                &r.fcounters,
-            ))?;
-        }
-        for r in scratch.stdio.drain(..) {
-            let b = builder(
-                &mut builders.stdio,
-                "STDIO",
-                &stdio_columns(),
-                chunk_rows,
-                pager.as_ref(),
-            );
-            b.push_row(counter_row(
-                r.file_id,
-                r.rank,
-                path_of(r.file_id),
-                &r.counters,
-                &r.fcounters,
-            ))?;
-        }
-        for r in scratch.lustre.drain(..) {
-            let b = builder(
-                &mut builders.lustre,
-                "LUSTRE",
-                &lustre_columns(),
-                chunk_rows,
-                pager.as_ref(),
-            );
-            b.push_row(lustre_row(&r, path_of(r.file_id)))?;
-            // Parameter derivation reads only the first Lustre record.
-            if skeleton.lustre.is_empty() {
-                skeleton.lustre.push(r);
-            }
-        }
-        for r in scratch.dxt.drain(..) {
-            let b = builder(
-                &mut builders.dxt,
-                "DXT",
-                &DXT_COLUMNS,
-                chunk_rows,
-                pager.as_ref(),
-            );
-            let path = name_index
-                .get(&r.file_id)
-                .map(|&i| skeleton.names[i].path.as_str());
-            for (seg_no, (kind, s)) in r.iter().enumerate() {
-                b.push_row(dxt_row(&r, path, seg_no, kind, s))?;
-            }
-        }
-        for r in scratch.heatmap.drain(..) {
-            let b = builder(
-                &mut builders.heatmap,
-                "HEATMAP",
-                &HEATMAP_COLUMNS,
-                chunk_rows,
-                pager.as_ref(),
-            );
-            for (bin, (rd, wr)) in r.read_bytes.iter().zip(&r.write_bytes).enumerate() {
-                b.push_row(heatmap_row(&r, bin, *rd, *wr))?;
-            }
-        }
+        fold.push(&mut scratch)?;
+        skeleton.names.append(&mut scratch.names);
     }
     if !saw_job {
         return Err(DarshanError::UnexpectedEof {
@@ -253,37 +129,15 @@ pub fn extract_stream<R: Read>(
         .into());
     }
 
-    let mut tables = TableSet::default();
-    let mut rows = 0u64;
-    for b in [
-        builders.posix,
-        builders.mpiio,
-        builders.stdio,
-        builders.lustre,
-        builders.heatmap,
-        builders.dxt,
-    ]
-    .into_iter()
-    .flatten()
-    {
-        let t = b.finish()?;
-        rows += t.len() as u64;
-        tables.insert(t);
-    }
-    let bytes_read = decoder.bytes_read() as u64;
-
+    let tables = fold.finish()?;
+    let rows = tables.iter().map(|(_, t)| t.len() as u64).sum();
     span.attr("tables", tables.len());
     span.attr("rows", rows);
-    if ion_obs::enabled() {
-        for (name, table) in tables.iter() {
-            ion_obs::counter(&format!("extract.rows.{name}"), table.len() as u64);
-        }
-    }
     Ok(StreamExtracted {
         tables,
         skeleton,
         rows,
-        bytes_read,
+        bytes_read: decoder.bytes_read() as u64,
     })
 }
 
@@ -291,10 +145,11 @@ pub fn extract_stream<R: Read>(
 mod tests {
     use super::*;
     use crate::extract::extract_tables;
+    use crate::table::Value;
     use darshan::accum::PosixAccumulator;
     use darshan::dxt::{DxtLayer, DxtRecord, DxtSegment, OpKind};
     use darshan::heatmap::HeatmapAccumulator;
-    use darshan::log::LogWriter;
+    use darshan::log::{LogWriter, StreamWriter};
     use darshan::record_id;
     use darshan::records::{JobRecord, LustreRecord};
 
@@ -342,6 +197,26 @@ mod tests {
             assert_eq!(streamed.tables.get(name).unwrap(), t, "table {name}");
         }
         assert_eq!(streamed.bytes_read as usize, bytes.len());
+    }
+
+    #[test]
+    fn name_region_after_its_records_resolves_like_batch() {
+        let log = sample_log();
+        let mut w = StreamWriter::new(Vec::new(), &log.job).unwrap();
+        w.write_posix(&log.posix).unwrap();
+        w.write_dxt(&log.dxt).unwrap();
+        w.write_names(&log.names).unwrap();
+        let bytes = w.finish().unwrap();
+        let streamed = extract_stream(&bytes[..], 7, None).unwrap();
+        let batch = extract_tables(&log);
+        for name in ["POSIX", "DXT"] {
+            let t = streamed.tables.get(name).unwrap();
+            assert_eq!(t, batch.get(name).unwrap(), "table {name}");
+            assert_eq!(
+                t.cell(0, "file_name"),
+                Some(Value::Str("/scratch/big.h5".into()))
+            );
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use darshan::log::{Log, LogReader, StreamDecoder};
 use darshan::records::JobRecord;
-use extractor::{extract_stream, extract_tables};
+use extractor::{extract_stream, extract_tables, TableSet, Value};
 use ion::IonPipeline;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -91,14 +91,6 @@ pub enum Verdict {
     },
 }
 
-impl Verdict {
-    /// True when this verdict violates the total-robustness contract.
-    #[must_use]
-    pub fn is_crash(&self) -> bool {
-        matches!(self, Verdict::Crashed { .. })
-    }
-}
-
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -134,15 +126,17 @@ pub fn drive(bytes: &[u8]) -> Verdict {
 /// inspecting each frame — corruption in a block the walk never
 /// CRC-checks must surface as a typed error downstream or not at all,
 /// never as a panic. When the strict batch decoder accepted the bytes,
-/// the streaming extractor must accept them too (same CRC coverage).
-fn stream_check(bytes: &[u8], strict_ok: bool) {
+/// the streaming extractor must accept them too (same CRC coverage) and
+/// build the same tables as `extract_tables` over the decoded log.
+fn stream_check(bytes: &[u8], strict: Option<&Log>) {
     let streamed = extract_stream(bytes, 61, None);
-    if strict_ok {
-        assert!(
-            streamed.is_ok(),
-            "strict decode accepted these bytes but streaming extract errored: {:?}",
-            streamed.err().map(|e| e.to_string())
-        );
+    if let Some(log) = strict {
+        match &streamed {
+            Ok(s) => assert_same_tables(&s.tables, &extract_tables(log)),
+            Err(e) => {
+                panic!("strict decode accepted these bytes but streaming extract errored: {e}")
+            }
+        }
     }
     let Ok(mut decoder) = StreamDecoder::new(bytes) else {
         return;
@@ -162,9 +156,37 @@ fn stream_check(bytes: &[u8], strict_ok: bool) {
     let _ = decoder.bytes_read();
 }
 
+/// Cross-path oracle: tables must match by name, then cell by cell.
+/// Floats compare by bit pattern so a NaN cell equals itself.
+fn assert_same_tables(streamed: &TableSet, batch: &TableSet) {
+    assert_eq!(
+        streamed.names(),
+        batch.names(),
+        "streamed vs batch table names"
+    );
+    for (name, b) in batch.iter() {
+        let s = streamed.get(name).expect("names matched");
+        assert_eq!(s.column_names(), b.column_names(), "{name}: columns");
+        assert_eq!(s.len(), b.len(), "{name}: row count");
+        for col in 0..b.columns.len() {
+            for row in 0..b.len() {
+                let (sv, bv) = (s.value(row, col), b.value(row, col));
+                let same = match (&sv, &bv) {
+                    (Some(Value::Float(x)), Some(Value::Float(y))) => x.to_bits() == y.to_bits(),
+                    _ => sv == bv,
+                };
+                assert!(
+                    same,
+                    "{name}: cell ({row}, {col}) streamed {sv:?}, batch {bv:?}"
+                );
+            }
+        }
+    }
+}
+
 fn drive_inner(bytes: &[u8]) -> Result<Verdict, Verdict> {
     let strict = trap(Stage::Decode, || LogReader::read(bytes))?;
-    trap(Stage::Stream, || stream_check(bytes, strict.is_ok()))?;
+    trap(Stage::Stream, || stream_check(bytes, strict.as_ref().ok()))?;
     let (log, recovered) = match strict {
         Ok(log) => (log, false),
         Err(strict_err) => {

@@ -173,32 +173,24 @@ impl Rows<'_> {
     }
 }
 
-/// Physical-effort counters surfaced as `iql.rows.scanned` /
-/// `iql.rows.pruned`.
-#[derive(Default)]
-struct Effort {
-    scanned: u64,
-    pruned: u64,
-}
-
 /// Execute an (optimized or 1:1) plan against the attached tables.
 pub(crate) fn execute(plan: &Plan, tables: &TableSet) -> Result<RunOutput, IqlError> {
     let mut rel: Option<Relation> = None;
     let mut env = Env::default();
     let mut out = RunOutput::default();
-    let mut effort = Effort::default();
+    // Rows filters and limits dropped, surfaced as `iql.rows.pruned`.
+    let mut pruned = 0u64;
     let obs = ion_obs::enabled();
     let result = (|| {
         for op in &plan.ops {
             let _span = obs.then(|| ion_obs::span(format!("iql.op.{}", op.mnemonic())));
-            apply(op, tables, &mut rel, &mut env, &mut out, &mut effort)?;
+            apply(op, tables, &mut rel, &mut env, &mut out, &mut pruned)?;
         }
         out.table = rel.as_ref().map(Relation::materialize);
         Ok(())
     })();
     if obs {
-        ion_obs::counter("iql.rows.scanned", effort.scanned);
-        ion_obs::counter("iql.rows.pruned", effort.pruned);
+        ion_obs::counter("iql.rows.pruned", pruned);
     }
     result.map(|()| out)
 }
@@ -210,7 +202,7 @@ fn apply(
     rel: &mut Option<Relation>,
     env: &mut Env,
     out: &mut RunOutput,
-    effort: &mut Effort,
+    pruned: &mut u64,
 ) -> Result<(), IqlError> {
     match op {
         PlanOp::Scan { table } => {
@@ -218,13 +210,11 @@ fn apply(
                 table: table.clone(),
             })?;
             out.rows_scanned += t.len();
-            effort.scanned += t.len() as u64;
             *rel = Some(Relation::from_table(t));
         }
         PlanOp::Filter { pred, .. } => {
             let r = rel.as_mut().ok_or(IqlError::NoTableLoaded)?;
             out.rows_scanned += r.len;
-            effort.scanned += r.len as u64;
             let kept: Vec<u32> = match fast_filter_mask(pred, r, env) {
                 Some(mask) => mask
                     .iter()
@@ -241,13 +231,12 @@ fn apply(
                     kept
                 }
             };
-            effort.pruned += (r.len - kept.len()) as u64;
+            *pruned += (r.len - kept.len()) as u64;
             r.select_rows(kept);
         }
         PlanOp::Derive { name, expr } => {
             let r = rel.as_mut().ok_or(IqlError::NoTableLoaded)?;
             out.rows_scanned += r.len;
-            effort.scanned += r.len as u64;
             // Same invariant (and panic) as the legacy Table::new call.
             assert!(
                 !r.names.iter().any(|c| c == name),
@@ -325,7 +314,7 @@ fn apply(
         PlanOp::Limit(n) => {
             let r = rel.as_mut().ok_or(IqlError::NoTableLoaded)?;
             if *n < r.len {
-                effort.pruned += (r.len - n) as u64;
+                *pruned += (r.len - n) as u64;
                 // Truncation needs no gather: views read only the first
                 // `len` ordinals; materialize slices selection vectors.
                 r.len = *n;
@@ -342,7 +331,6 @@ fn apply(
                     table: right_name.clone(),
                 })?;
             out.rows_scanned += left.len + right.len();
-            effort.scanned += (left.len + right.len()) as u64;
             let li = left
                 .col_idx(on)
                 .ok_or_else(|| IqlError::NoSuchColumn { column: on.clone() })?;
@@ -392,7 +380,6 @@ fn apply(
         PlanOp::Group { keys, aggs } => {
             let r = rel.as_mut().ok_or(IqlError::NoTableLoaded)?;
             out.rows_scanned += r.len;
-            effort.scanned += r.len as u64;
             let key_idxs: Vec<usize> = keys
                 .iter()
                 .map(|k| {
@@ -451,7 +438,6 @@ fn apply(
         PlanOp::Agg(aggs) => {
             let r = rel.as_ref().ok_or(IqlError::NoTableLoaded)?;
             out.rows_scanned += r.len;
-            effort.scanned += r.len as u64;
             for a in aggs {
                 let v = eval_agg(&a.expr, r, Rows::All(r.len), env)?;
                 env.scalars.insert(a.name.clone(), v);

@@ -56,13 +56,6 @@ impl SimConfig {
         self
     }
 
-    /// Set the number of OSTs.
-    #[must_use]
-    pub fn with_osts(mut self, osts: u32) -> Self {
-        self.topology.ost_count = osts;
-        self
-    }
-
     /// Set the default stripe layout.
     #[must_use]
     pub fn with_layout(mut self, layout: StripeLayout) -> Self {
@@ -70,24 +63,10 @@ impl SimConfig {
         self
     }
 
-    /// Set the cost model.
-    #[must_use]
-    pub fn with_cost(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
-        self
-    }
-
     /// Set the recorded executable line.
     #[must_use]
     pub fn with_exe(mut self, exe: &str) -> Self {
         self.exe = exe.to_owned();
-        self
-    }
-
-    /// Enable or disable DXT tracing.
-    #[must_use]
-    pub fn with_dxt(mut self, enabled: bool) -> Self {
-        self.dxt_enabled = enabled;
         self
     }
 }
@@ -142,12 +121,6 @@ impl Simulation {
             ops: 0,
             started: std::time::Instant::now(),
         }
-    }
-
-    /// Simulated operations issued so far.
-    #[must_use]
-    pub fn ops_issued(&self) -> u64 {
-        self.ops
     }
 
     /// The configuration in force.

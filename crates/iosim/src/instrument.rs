@@ -230,11 +230,6 @@ impl DarshanShim {
         );
     }
 
-    /// Record an `MPI_File_set_view`.
-    pub fn mpiio_set_view(&mut self, file: u64, rank: i32) {
-        self.mpiio_acc(file, rank).set_view();
-    }
-
     /// Record a STDIO open.
     pub fn stdio_open(&mut self, file: u64, rank: i32, start: f64, end: f64) {
         self.stdio_acc(file, rank).open(start, end);

@@ -378,7 +378,7 @@ impl<'m> StoredPipeline<'m> {
             }))
         })?;
         let meta = decode_trace_meta(&meta_artifact)?;
-        let params = self.pipeline.params_override().unwrap_or(meta.params);
+        let params = meta.params;
 
         let lazy = LazyTables {
             store: &self.store,
@@ -627,8 +627,7 @@ impl<'m> StoredPipeline<'m> {
             let (tables, derived) = extract_from_bytes(bytes)?;
             Ok(encode_tables(&tables, &derived))
         })?;
-        let (tables, derived_params) = decode_tables(&tables_artifact)?;
-        let params = self.pipeline.params_override().unwrap_or(derived_params);
+        let (tables, params) = decode_tables(&tables_artifact)?;
 
         // Stage 2 — per-issue analyses under one monolithic key each:
         // extracted content, parameters, whole-context revision, model.

@@ -86,19 +86,15 @@ fn reindented_contexts() -> Vec<IssueContext> {
     contexts
 }
 
-/// Analyze the whole fleet under one deferred-saves scope — the batch
-/// idiom: per-trace scopes nest inside it, so the manifest is rewritten
-/// once per pass instead of once per trace.
-fn analyze_all(store: &Store, driver: &StoredPipeline<'_>, traces: &[Vec<u8>]) -> u64 {
-    store
-        .with_deferred_saves(|| {
-            let mut diagnoses = 0u64;
-            for bytes in traces {
-                diagnoses += driver.analyze_bytes(bytes)?.diagnoses.len() as u64;
-            }
-            Ok(diagnoses)
+/// Analyze the whole fleet, returning the number of diagnoses.
+fn analyze_all(driver: &StoredPipeline<'_>, traces: &[Vec<u8>]) -> u64 {
+    traces
+        .iter()
+        .map(|bytes| {
+            let report = driver.analyze_bytes(bytes).expect("analysis succeeds");
+            report.diagnoses.len() as u64
         })
-        .expect("analysis succeeds")
+        .sum()
 }
 
 fn arg_value(args: &[String], flag: &str) -> Option<String> {
@@ -133,11 +129,11 @@ fn main() {
     // families are disjoint, so one store carries both.
     let t0 = Instant::now();
     let fine = StoredPipeline::new(Arc::clone(&store));
-    let diagnoses = analyze_all(&store, &fine, &traces);
+    let diagnoses = analyze_all(&fine, &traces);
     let cold_fine_s = t0.elapsed().as_secs_f64();
     let t0 = Instant::now();
     let coarse = StoredPipeline::new(Arc::clone(&store)).with_coarse(true);
-    analyze_all(&store, &coarse, &traces);
+    analyze_all(&coarse, &traces);
     let cold_coarse_s = t0.elapsed().as_secs_f64();
     println!(
         "cold      {cold_fine_s:>10.2}s fine  {cold_coarse_s:>10.2}s coarse  ({diagnoses} diagnoses)"
@@ -151,7 +147,7 @@ fn main() {
     let t0 = Instant::now();
     let fine = StoredPipeline::new(Arc::clone(&store))
         .with_pipeline(IonPipeline::new().with_contexts(contexts.clone()));
-    analyze_all(&store, &fine, &traces);
+    analyze_all(&fine, &traces);
     let fine_ms = t0.elapsed().as_secs_f64() * 1e3;
     let mid = ion_obs::snapshot();
 
@@ -159,7 +155,7 @@ fn main() {
     let coarse = StoredPipeline::new(Arc::clone(&store))
         .with_pipeline(IonPipeline::new().with_contexts(contexts))
         .with_coarse(true);
-    analyze_all(&store, &coarse, &traces);
+    analyze_all(&coarse, &traces);
     let coarse_ms = t0.elapsed().as_secs_f64() * 1e3;
     let after = ion_obs::snapshot();
 

@@ -322,16 +322,11 @@ impl<'m> StoredPipeline<'m> {
         ] {
             ion_obs::counter(name, 0);
         }
-        // One trace touches a dozen keys (meta, tables, memos, diags,
-        // summary); batch them into a single manifest save so warm
-        // revalidation isn't dominated by whole-manifest rewrites.
-        self.store.with_deferred_saves(|| {
-            if self.coarse {
-                self.analyze_coarse(bytes, &trace_digest, &run_span)
-            } else {
-                self.analyze_fine(bytes, &trace_digest, &run_span)
-            }
-        })
+        if self.coarse {
+            self.analyze_coarse(bytes, &trace_digest, &run_span)
+        } else {
+            self.analyze_fine(bytes, &trace_digest, &run_span)
+        }
     }
 
     // -----------------------------------------------------------------

@@ -34,8 +34,9 @@
 //! the issues that consulted it.
 //!
 //! Layered storage: a byte-capped in-memory LRU ([`lru::ByteLru`]) over
-//! atomic-rename on-disk objects and a versioned manifest ([`disk`]),
-//! with singleflight deduplication ([`singleflight`]) so concurrent
+//! atomic-rename on-disk objects and an append-only manifest log
+//! ([`disk`]: one line per binding change, a torn final line ignored on
+//! replay, compaction on open and on growth), with singleflight deduplication ([`singleflight`]) so concurrent
 //! identical requests — the batch front-end ([`batch`]) analyzing
 //! duplicate traces, say — share one computation. All layers emit
 //! `ion-obs` metrics (`store.hit` / `store.miss` / `store.evict` /

@@ -1,11 +1,13 @@
 //! The store façade: dependency-keyed lookup over an in-memory LRU, the
-//! content-addressed object directory and the versioned manifest.
+//! content-addressed object directory and the manifest log.
 //!
 //! Reads check the manifest (authoritative), then the byte-capped LRU,
 //! then disk (promoting hits into memory). Writes go to disk first, then
-//! the manifest, then memory, so a crash can lose at most a manifest
-//! binding — never produce a dangling one pointing at missing bytes
+//! the manifest, then memory, so a crash can lose at most the binding in
+//! flight — never produce a dangling one pointing at missing bytes
 //! (dangling bindings from external deletion are surfaced as misses).
+//! Each binding change appends one line to the log under the manifest
+//! mutex; the file format and compaction live in [`crate::disk`].
 //!
 //! Everything is instrumented through `ion-obs`:
 //! `store.hit` / `store.miss` / `store.mem_hit` / `store.disk_hit` /
@@ -13,7 +15,7 @@
 //! lookup.
 
 use crate::digest::Digest;
-use crate::disk::{Manifest, ObjectDir};
+use crate::disk::{ManifestLog, ObjectDir};
 use crate::lru::ByteLru;
 use crate::singleflight::{FlightRole, Singleflight};
 use crate::StoreError;
@@ -35,38 +37,14 @@ pub struct GcReport {
     pub deleted: bool,
 }
 
-/// The manifest plus its persistence bookkeeping, guarded together: a
-/// positive `defer_depth` routes binding changes to the `dirty` flag
-/// instead of an immediate save (see [`Store::with_deferred_saves`]).
-#[derive(Debug)]
-struct ManifestState {
-    map: Manifest,
-    defer_depth: u32,
-    dirty: bool,
-}
-
 /// A shared, thread-safe artifact store rooted at one directory.
 #[derive(Debug)]
 pub struct Store {
     root: PathBuf,
     objects: ObjectDir,
-    manifest: Mutex<ManifestState>,
+    manifest: Mutex<ManifestLog>,
     memory: Mutex<ByteLru>,
     flights: Singleflight<Result<Arc<[u8]>, String>>,
-}
-
-/// Panic-safe depth decrement for [`Store::with_deferred_saves`]: if the
-/// scope unwinds, the store falls back to save-per-put rather than
-/// deferring forever, and any deferred-but-unsaved bindings are
-/// persisted best-effort by the next binding change.
-struct DeferGuard<'a> {
-    store: &'a Store,
-}
-
-impl Drop for DeferGuard<'_> {
-    fn drop(&mut self) {
-        self.store.manifest.lock().defer_depth -= 1;
-    }
 }
 
 impl Store {
@@ -86,67 +64,14 @@ impl Store {
             path: root.display().to_string(),
             message: e.to_string(),
         })?;
-        let manifest = Manifest::load(&root)?;
+        let manifest = ManifestLog::open(&root)?;
         Ok(Store {
             objects: ObjectDir::new(&root),
-            manifest: Mutex::new(ManifestState {
-                map: manifest,
-                defer_depth: 0,
-                dirty: false,
-            }),
+            manifest: Mutex::new(manifest),
             memory: Mutex::new(ByteLru::new(memory_capacity)),
             flights: Singleflight::new(),
             root,
         })
-    }
-
-    /// Run `f` with manifest persistence deferred: binding changes made
-    /// inside the scope (by this or any thread sharing the store) update
-    /// the in-memory manifest immediately — readers never see stale
-    /// bindings — but the on-disk `MANIFEST` is rewritten once at scope
-    /// exit instead of once per `put`. A driver analyzing one trace
-    /// touches a dozen keys; batching turns that from a dozen
-    /// whole-manifest rewrites into one.
-    ///
-    /// Durability: a process crash inside the scope loses the scope's
-    /// bindings (the objects themselves are already on disk and are
-    /// re-bound by recomputation), which widens the documented
-    /// crash-loss window from one binding to one scope. Scopes nest;
-    /// the save happens when the outermost scope exits.
-    pub fn with_deferred_saves<T>(
-        &self,
-        f: impl FnOnce() -> Result<T, StoreError>,
-    ) -> Result<T, StoreError> {
-        self.manifest.lock().defer_depth += 1;
-        let guard = DeferGuard { store: self };
-        let out = f()?;
-        // Flush before the depth drops so save errors surface to the
-        // caller; the guard's decrement then finds a clean state. An
-        // inner scope (depth still > 1 counting our own increment)
-        // leaves the dirty flag for the outermost scope to flush.
-        {
-            let mut state = self.manifest.lock();
-            if state.defer_depth == 1 && state.dirty {
-                state.map.save(&self.root)?;
-                state.dirty = false;
-                ion_obs::counter("store.manifest_save", 1);
-            }
-        }
-        drop(guard);
-        Ok(out)
-    }
-
-    /// Persist a binding change: immediately, or by marking the state
-    /// dirty when inside a [`Store::with_deferred_saves`] scope.
-    fn persist_manifest(&self, state: &mut ManifestState) -> Result<(), StoreError> {
-        if state.defer_depth > 0 {
-            state.dirty = true;
-            return Ok(());
-        }
-        state.map.save(&self.root)?;
-        state.dirty = false;
-        ion_obs::counter("store.manifest_save", 1);
-        Ok(())
     }
 
     /// Number of callers so far that attached to an already in-flight
@@ -168,13 +93,13 @@ impl Store {
     /// Number of manifest bindings.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.manifest.lock().map.len()
+        self.manifest.lock().len()
     }
 
     /// Whether the manifest has no bindings.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.manifest.lock().map.is_empty()
+        self.manifest.lock().is_empty()
     }
 
     /// Fetch the artifact bound to `key`, if present and readable.
@@ -201,7 +126,7 @@ impl Store {
                 ion_obs::counter(name, 1);
             }
         };
-        let Some(digest) = self.manifest.lock().map.get(key).copied() else {
+        let Some(digest) = self.manifest.lock().get(key).copied() else {
             tally("store.miss");
             return Ok(None);
         };
@@ -226,19 +151,18 @@ impl Store {
         }
     }
 
-    /// Bind `key` to `bytes`: object write, manifest update + save,
-    /// memory promotion. Returns the artifact digest.
+    /// Bind `key` to `bytes`: object write, manifest append, memory
+    /// promotion. Returns the artifact digest.
     pub fn put(&self, key: &str, bytes: &[u8]) -> Result<Digest, StoreError> {
+        self.put_shared(key, &bytes.into())
+    }
+
+    /// [`Store::put`] for bytes already behind an `Arc`, which the memory
+    /// cache then shares instead of copying.
+    fn put_shared(&self, key: &str, bytes: &Arc<[u8]>) -> Result<Digest, StoreError> {
         let digest = self.objects.put(bytes)?;
-        {
-            let mut state = self.manifest.lock();
-            let changed = state.map.insert(key, digest) != Some(digest);
-            if changed {
-                self.persist_manifest(&mut state)?;
-            }
-        }
-        let arc: Arc<[u8]> = bytes.to_vec().into();
-        self.cache_in_memory(&digest.hex(), &arc);
+        self.bind(key, digest)?;
+        self.cache_in_memory(&digest.hex(), bytes);
         ion_obs::counter("store.put", 1);
         Ok(digest)
     }
@@ -261,10 +185,9 @@ impl Store {
                 Ok(None) => {}
                 Err(e) => return Err(e.to_string()),
             }
-            let bytes = compute().map_err(|e| e.to_string())?;
-            let arc: Arc<[u8]> = bytes.into();
-            self.put(key, &arc).map_err(|e| e.to_string())?;
-            Ok(arc)
+            let bytes: Arc<[u8]> = compute().map_err(|e| e.to_string())?.into();
+            self.put_shared(key, &bytes).map_err(|e| e.to_string())?;
+            Ok(bytes)
         });
         if role == FlightRole::Follower {
             ion_obs::counter("store.singleflight_shared", 1);
@@ -277,20 +200,7 @@ impl Store {
     /// disk until the next [`Store::gc`] — this only drops references
     /// (e.g. a spill session releasing its chunk pins).
     pub fn unbind_prefix(&self, prefix: &str) -> Result<usize, StoreError> {
-        let mut state = self.manifest.lock();
-        let doomed: Vec<String> = state
-            .map
-            .iter()
-            .filter(|(k, _)| k.starts_with(prefix))
-            .map(|(k, _)| k.to_owned())
-            .collect();
-        for key in &doomed {
-            state.map.remove(key);
-        }
-        if !doomed.is_empty() {
-            self.persist_manifest(&mut state)?;
-        }
-        Ok(doomed.len())
+        self.manifest.lock().unbind_prefix(prefix)
     }
 
     /// Bind `key` to an object that already exists in the object dir,
@@ -298,19 +208,14 @@ impl Store {
     /// pins reference chunks that were paged out precisely because
     /// memory is tight).
     pub(crate) fn bind(&self, key: &str, digest: Digest) -> Result<(), StoreError> {
-        let mut state = self.manifest.lock();
-        let changed = state.map.insert(key, digest) != Some(digest);
-        if changed {
-            self.persist_manifest(&mut state)?;
-        }
-        Ok(())
+        self.manifest.lock().bind(key, digest)
     }
 
     /// Prune objects not referenced by the manifest. With `dry_run` the
     /// report lists what *would* be deleted and nothing is touched.
     pub fn gc(&self, dry_run: bool) -> Result<GcReport, StoreError> {
         let _span = ion_obs::span!("store.gc");
-        let referenced = self.manifest.lock().map.referenced();
+        let referenced = self.manifest.lock().referenced();
         let mut report = GcReport {
             live: 0,
             unreferenced: Vec::new(),
@@ -337,7 +242,6 @@ impl Store {
     pub fn bindings(&self) -> Vec<(String, Digest)> {
         self.manifest
             .lock()
-            .map
             .iter()
             .map(|(k, d)| (k.to_owned(), *d))
             .collect()
